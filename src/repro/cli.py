@@ -89,7 +89,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
         database,
         use_planner=not args.no_planner,
         use_columnar=not args.no_columnar,
-        scan_jobs=args.scan_jobs,
         infer=not args.no_infer,
     )
     if args.explain:
@@ -441,12 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-columnar",
         action="store_true",
         help="disable the vectorized columnar scan path",
-    )
-    sql.add_argument(
-        "--scan-jobs",
-        type=int,
-        default=0,
-        help="worker processes for partitioned columnar scans (0 = serial)",
     )
     sql.add_argument(
         "--no-infer",

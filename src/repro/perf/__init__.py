@@ -23,7 +23,7 @@ from .cache import (
     reset_cache_stats,
     stats_for,
 )
-from .partition import DEFAULT_CHUNK_ROWS, chunk_spans, run_partitioned
+from .partition import DEFAULT_CHUNK_ROWS, chunk_spans
 from .profiler import (
     STAGE_ORDER,
     StageProfiler,
@@ -54,7 +54,6 @@ __all__ = [
     "stats_for",
     "DEFAULT_CHUNK_ROWS",
     "chunk_spans",
-    "run_partitioned",
     "STAGE_ORDER",
     "StageProfiler",
     "StageStat",

@@ -1,37 +1,19 @@
-"""Fixed-size row-span partitioning with an optional fork-based pool.
+"""Fixed-size row-span partitioning for chunked scans.
 
 The columnar scan path (:mod:`repro.sqldb.columnar`) evaluates predicate
-masks per chunk of rows; chunks are independent, so a scan over a large
-table can fan out across processes.  This module owns the two pieces the
-engine needs:
+masks per chunk of rows and concatenates them in chunk order;
+:func:`chunk_spans` yields those deterministic ``[lo, hi)`` spans.
 
-- :func:`chunk_spans` — deterministic ``[lo, hi)`` spans of a fixed size,
-- :func:`run_partitioned` — map a task over spans, optionally in a
-  fork-based process pool.
-
-Parallelism here is **fork-only by design**: the shared payload (column
-arrays plus a compiled predicate tree) is installed in module globals in
-the parent *before* the pool forks, so workers inherit it through
-copy-on-write page sharing and nothing large is ever pickled — only the
-``(lo, hi)`` span tuples go over the pipe, and only the small per-chunk
-result masks come back.  Platforms without ``fork`` (or any pool
-failure: sandboxed environments, recursive invocation from a worker)
-degrade to an in-process serial loop that computes the identical result,
-so parallelism is strictly an optimization and can never change query
-output — results are concatenated in span order either way.
-
-Unlike :mod:`repro.perf.parallel` (which parallelizes whole evaluation
-harness runs and sits above the bench layer), this module is a
-dependency-free leaf that the SQL engine can import without cycles.
+This module is a dependency-free leaf that the SQL engine can import
+without cycles.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import List, Tuple
 
-#: Default rows per scan partition.  Large enough that per-chunk numpy
-#: dispatch overhead is amortized, small enough that a million-row table
-#: yields ~8 chunks to spread across workers.
+#: Default rows per scan chunk.  Large enough that per-chunk numpy
+#: dispatch overhead is amortized.
 DEFAULT_CHUNK_ROWS = 131_072
 
 Span = Tuple[int, int]
@@ -48,53 +30,3 @@ def chunk_spans(n_rows: int, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> List[Span]
     if n_rows <= 0:
         return [(0, 0)]
     return [(lo, min(lo + chunk_rows, n_rows)) for lo in range(0, n_rows, chunk_rows)]
-
-
-# Shared state for fork workers: set in the parent immediately before the
-# pool is created, inherited by child processes at fork time, cleared
-# afterwards.  Never populated in the serial path.
-_TASK: Any = None
-_SHARED: Any = None
-
-
-def _forked_worker(span: Span) -> Any:
-    lo, hi = span
-    return _TASK(_SHARED, lo, hi)
-
-
-def run_partitioned(
-    task: Callable[[Any, int, int], Any],
-    shared: Any,
-    spans: Sequence[Span],
-    jobs: int,
-) -> List[Any]:
-    """Run ``task(shared, lo, hi)`` for every span, returning results in
-    span order.
-
-    With ``jobs > 1``, more than one span, and a platform that supports
-    the ``fork`` start method, spans are distributed over a process pool;
-    otherwise (or on *any* pool failure) the spans run serially in
-    process.  Both routes produce the same list.
-    """
-    global _TASK, _SHARED
-    spans = list(spans)
-    if jobs <= 1 or len(spans) <= 1:
-        return [task(shared, lo, hi) for lo, hi in spans]
-    try:
-        import multiprocessing as mp
-
-        if "fork" not in mp.get_all_start_methods():
-            raise RuntimeError("fork start method unavailable")
-        ctx = mp.get_context("fork")
-        _TASK, _SHARED = task, shared
-        try:
-            with ctx.Pool(processes=min(jobs, len(spans))) as pool:
-                return pool.map(_forked_worker, spans)
-        finally:
-            _TASK = None
-            _SHARED = None
-    except Exception:
-        # Pool creation or execution failed (sandbox, nested worker,
-        # interpreter shutdown…): fall back to the serial loop, which is
-        # always correct.
-        return [task(shared, lo, hi) for lo, hi in spans]

@@ -304,6 +304,11 @@ class ResilientService:
                 continue
             try:
                 outcome = self._serve_one(name, question, result, active)
+            except NoAnswer:
+                # An abstention is a completed run, not a fault: it keeps
+                # the breaker closed (and resolves a half-open probe).
+                breaker.record_success()
+                continue
             except RequestCancelled as exc:
                 # The request's end-to-end deadline is gone: charge the
                 # breaker and stop — fallbacks would also be cancelled.
@@ -342,7 +347,9 @@ class ResilientService:
         injector: Union[FaultInjector, NoopInjector],
     ) -> Optional[Tuple[Relation, Optional[str], Optional[str]]]:
         """Try one system with retries; ``None`` means it failed and the
-        reason has been recorded on ``result``."""
+        reason has been recorded on ``result``.  An abstention (the
+        system found no answer) is recorded too, then re-raised as
+        :class:`NoAnswer`."""
         delay = self.backoff_s
         reason = "unknown failure"
         for attempt in range(self.retries + 1):
@@ -366,8 +373,8 @@ class ResilientService:
                 break
             except NoAnswer as exc:
                 result.fault_trace.extend(injector.drain_events())
-                reason = exc.reason
-                break
+                result.degraded_from.append((name, exc.reason))
+                raise  # chain-level: ask() keeps the breaker healthy
             except RequestCancelled:
                 result.fault_trace.extend(injector.drain_events())
                 raise  # chain-level: handled (and recorded) by ask()

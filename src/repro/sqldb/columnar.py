@@ -35,11 +35,9 @@ Design rules, in priority order:
    the final WHERE keep-mask is ``mask == TRUE`` — exactly the
    executor's ``_truthy``.
 
-3. **Partitioned scans.**  Masks are computed per fixed-size row chunk
-   (:func:`repro.perf.partition.chunk_spans`); chunks are embarrassingly
-   parallel and can be fanned out over a fork-based process pool
-   (:func:`repro.perf.partition.run_partitioned`) with a deterministic
-   concatenation, so parallelism never changes results.
+3. **Chunked scans.**  Masks are computed per fixed-size row chunk
+   (:func:`repro.perf.partition.chunk_spans`) and concatenated in chunk
+   order.
 
 Known fallback triggers (documented in ``docs/architecture.md``): joins,
 subqueries, index-eligible scans, NaN-containing float columns under
@@ -85,7 +83,7 @@ from .errors import (
 from .functions import AGGREGATE_FUNCTIONS, call_scalar
 from .types import DataType, iso_date_or_none, values_compare, values_equal
 
-from ..perf.partition import DEFAULT_CHUNK_ROWS, chunk_spans, run_partitioned
+from ..perf.partition import DEFAULT_CHUNK_ROWS, chunk_spans
 from ..perf.profiler import active_profiler
 
 #: Kleene truth codes; AND = minimum, OR = maximum, NOT = 2 - x.
@@ -242,7 +240,7 @@ class ColumnStore:
 
 
 # ---------------------------------------------------------------------------
-# Compiled predicate kernels (picklable: shipped to partition workers)
+# Compiled predicate kernels
 # ---------------------------------------------------------------------------
 
 
@@ -411,8 +409,7 @@ class _LikePred:
 
     Evaluated over the original Python strings (regex semantics exactly
     match the per-row interpreter); this is the one kernel that loops in
-    Python, which is also why LIKE-heavy scans are the showcase for
-    partition-parallel execution.
+    Python.
     """
 
     __slots__ = ("j", "pattern")
@@ -803,14 +800,6 @@ def _two_valued_parts(
     return parts, len(converted)
 
 
-def _scan_span_task(shared: Tuple[ColumnStore, Any], lo: int, hi: int) -> Any:
-    """Partition-worker entry point: evaluate the compiled predicate over
-    one ``[lo, hi)`` row span.  ``shared`` travels by fork inheritance
-    (the arrays are never pickled); the returned int8 mask is small."""
-    store, pred = shared
-    return pred.eval(store, lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # WHERE compiler
 # ---------------------------------------------------------------------------
@@ -1177,7 +1166,7 @@ class ColumnarEngine:
     ``None``, in which case the executor proceeds down the row path.
     """
 
-    def __init__(self, executor: Any, chunk_rows: Optional[int] = None, jobs: int = 0):
+    def __init__(self, executor: Any, chunk_rows: Optional[int] = None):
         if np is None:
             raise RuntimeError("numpy is required for the columnar engine")
         # The executor module is fully initialized by the time an
@@ -1191,9 +1180,6 @@ class ColumnarEngine:
         self._and3 = rowpath._and3
         self._or3 = rowpath._or3
         self.chunk_rows = int(chunk_rows) if chunk_rows else DEFAULT_CHUNK_ROWS
-        self.jobs = int(jobs or 0)
-        #: below this row count a parallel scan is all fork overhead
-        self.parallel_min_rows = 2 * self.chunk_rows
         #: why the last statement fell back (``None`` when it was claimed)
         self.last_fallback: Optional[str] = None
         self._cache: Dict[int, Tuple[Any, Any]] = {}
@@ -1220,7 +1206,7 @@ class ColumnarEngine:
             if compiled.pred is None:
                 idx = np.arange(n, dtype=np.int64)
             else:
-                masks = self._masks(store, compiled.pred, spans, n)
+                masks = [compiled.pred.eval(store, lo, hi) for lo, hi in spans]
                 mask = masks[0] if len(masks) == 1 else np.concatenate(masks)
                 keep = mask if mask.dtype == np.bool_ else mask == TRUE3
                 idx = np.flatnonzero(keep)
@@ -1264,7 +1250,7 @@ class ColumnarEngine:
             bits.append("project")
         else:
             bits.append("project(row-eval)")
-        detail = f"chunk_rows={self.chunk_rows}, jobs={self.jobs or 1}"
+        detail = f"chunk_rows={self.chunk_rows}"
         if compiled.twoval:
             detail = f"2-valued filter {compiled.twoval}/{compiled.nconj}, {detail}"
         return f"columnar: vectorized {'+'.join(bits)} ({detail})"
@@ -1429,13 +1415,6 @@ class ColumnarEngine:
         if profiler is None:
             return _NOOP_SPAN
         return profiler.span(name)
-
-    def _masks(
-        self, store: ColumnStore, pred: Any, spans: List[Tuple[int, int]], n: int
-    ) -> List[Any]:
-        if self.jobs > 1 and len(spans) > 1 and n >= self.parallel_min_rows:
-            return run_partitioned(_scan_span_task, (store, pred), spans, self.jobs)
-        return [pred.eval(store, lo, hi) for lo, hi in spans]
 
     # -- projection ---------------------------------------------------------
 

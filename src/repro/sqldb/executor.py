@@ -8,7 +8,9 @@ The executor interprets :class:`~repro.sqldb.ast.SelectStatement` trees:
   escape hatch (and as the reference path for differential testing),
 - WHERE with full boolean expressions, LIKE, BETWEEN, IN lists,
 - nested sub-queries (scalar / IN / EXISTS), including correlated ones —
-  inner column references resolve through the enclosing row scope,
+  inner column references resolve through the enclosing row scope; on
+  the planned path an uncorrelated one runs once per statement and
+  ``IN``/``NOT IN`` probe its result by hash,
 - GROUP BY / HAVING with the five SQL aggregates,
 - ORDER BY (including by select alias) and LIMIT/OFFSET, DISTINCT,
 - compound statements (``UNION [ALL]`` / ``EXCEPT`` / ``INTERSECT``)
@@ -48,6 +50,7 @@ import re
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
+from ..perf.cache import LRUCache
 from .ast import (
     Between,
     BinaryOp,
@@ -161,6 +164,60 @@ class _Missing:
 
 _MISSING = _Missing()
 
+#: subquery-cache marker: the subquery read an outer value, so it is
+#: re-run for every outer row of this statement
+_CORRELATED = object()
+
+
+class _Probe(_Scope):
+    """A binding-less scope slotted between a subquery and its outer row.
+
+    Every name the subquery cannot resolve in its own blocks walks
+    through here on its way to the outer row, which marks the subquery
+    correlated.  A run that never touched the probe read no outer value,
+    so (evaluation being deterministic) its answer holds for every outer
+    row of the statement."""
+
+    __slots__ = ("touched",)
+
+    def __init__(self, parent: _Scope):
+        super().__init__([], parent)
+        self.touched = False
+
+    def _resolve_local(self, ref: ColumnRef) -> Any:
+        self.touched = True
+        return _MISSING
+
+
+class _Members:
+    """An IN subquery's result column, digested for 3VL membership tests.
+
+    The planned path probes a set of :func:`hash_key` values (consistent
+    with :func:`values_equal`: numerics collapse, booleans stay apart,
+    DATE equals its ISO string, NaN never matches); the naive reference
+    path keeps the linear ``values_equal`` scan."""
+
+    __slots__ = ("empty", "has_null", "keys", "values")
+
+    def __init__(self, values: List[Any], hashed: bool):
+        self.empty = not values
+        self.has_null = any(v is None for v in values)
+        self.keys = {hash_key(v) for v in values if v is not None} if hashed else None
+        self.values = None if hashed else values
+
+    def contains(self, outer: Any) -> Optional[bool]:
+        """``outer IN (members)`` under three-valued logic."""
+        if outer is None:
+            # NULL IN (empty set) is false; otherwise unknown.
+            return False if self.empty else None
+        if self.keys is not None:
+            hit = hash_key(outer) in self.keys
+        else:
+            hit = any(values_equal(outer, v) for v in self.values or ())
+        if hit:
+            return True
+        return None if self.has_null else False
+
 
 @functools.lru_cache(maxsize=512)
 def _like_to_regex(pattern: str) -> "re.Pattern[str]":
@@ -175,38 +232,6 @@ def _like_to_regex(pattern: str) -> "re.Pattern[str]":
         else:
             out.append(re.escape(ch))
     return re.compile("^" + "".join(out) + "$", re.IGNORECASE)
-
-
-class _LRUCache:
-    """Tiny ordered-dict LRU used for the parsed-statement cache."""
-
-    __slots__ = ("maxsize", "_data")
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._data: "OrderedDict[Any, Any]" = OrderedDict()
-
-    def get(self, key: Any) -> Any:
-        try:
-            value = self._data.pop(key)
-        except KeyError:
-            return None
-        self._data[key] = value
-        return value
-
-    def put(self, key: Any, value: Any) -> None:
-        if self.maxsize <= 0:
-            return
-        self._data.pop(key, None)
-        self._data[key] = value
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)
 
 
 class Executor:
@@ -237,7 +262,6 @@ class Executor:
         analyze: bool = True,
         use_columnar: bool = True,
         scan_chunk_rows: Optional[int] = None,
-        scan_jobs: int = 0,
         infer: bool = True,
     ):
         self.database = database
@@ -256,15 +280,13 @@ class Executor:
         #: stays a pure reference interpreter.
         self.use_columnar = use_columnar
         self.scan_chunk_rows = scan_chunk_rows
-        #: worker processes for partitioned parallel scans (0/1 = serial)
-        self.scan_jobs = scan_jobs
         self.last_stats = ExecutionStats()
         self.total_stats = ExecutionStats()
         self._stats = self.last_stats
         self._planner = Planner(database, infer=infer)
         self._analyzer = None
         self._columnar = None
-        self._statement_cache = _LRUCache(statement_cache_size)
+        self._statement_cache = LRUCache(statement_cache_size)
         #: per-row window values while projecting a windowed block; a
         #: WindowFunction reached by ``_eval`` outside such a projection
         #: has no value and raises :class:`MisplacedWindowError`.
@@ -273,6 +295,10 @@ class Executor:
         self._plan_catalog_version = database.catalog_version
         self._analysis_cache: Dict[int, Tuple[SelectStatement, Any]] = {}
         self._analysis_data_version = database.data_version
+        #: answers of the current statement's uncorrelated subqueries (or
+        #: ``_CORRELATED``), keyed by SubqueryExpr identity; emptied when
+        #: the top-level statement ends.  Only the planned path uses it.
+        self._subquery_cache: Dict[int, Tuple[SubqueryExpr, Any]] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -374,7 +400,10 @@ class Executor:
             result.raise_first_error()
 
     def _run(self, stmt: Statement) -> Relation:
-        result = self._execute(stmt, parent=None)
+        try:
+            result = self._execute(stmt, parent=None)
+        finally:
+            self._subquery_cache.clear()
         self._stats.rows_output += len(result.rows)
         if not self.use_planner and not self._stats.strategy:
             self._stats.strategy = "naive"
@@ -417,9 +446,7 @@ class Executor:
             try:
                 from .columnar import ColumnarEngine
 
-                self._columnar = ColumnarEngine(
-                    self, chunk_rows=self.scan_chunk_rows, jobs=self.scan_jobs
-                )
+                self._columnar = ColumnarEngine(self, chunk_rows=self.scan_chunk_rows)
             except Exception:
                 # numpy missing or engine init failed: permanently fall
                 # back to the row path for this executor.
@@ -1206,6 +1233,39 @@ class Executor:
         raise ExecutionError(f"unknown operator {op!r}")  # pragma: no cover
 
     def _eval_subquery(self, expr: SubqueryExpr, scope: _Scope) -> Any:
+        """One subquery verdict for the row ``scope``.
+
+        On the planned path the first run goes through a :class:`_Probe`;
+        if it read no outer value its answer is reused for the rest of
+        the statement, otherwise the subquery re-runs per outer row."""
+        entry = self._subquery_cache.get(id(expr)) if self.use_planner else None
+        if entry is not None and entry[0] is not expr:
+            entry = None
+        if entry is not None and entry[1] is not _CORRELATED:
+            self._stats.subquery_cache_hits += 1
+            answer = entry[1]
+        else:
+            probe = _Probe(scope) if self.use_planner and entry is None else None
+            answer = self._subquery_answer(expr, probe or scope)
+            if probe is not None:
+                self._subquery_cache[id(expr)] = (
+                    expr, _CORRELATED if probe.touched else answer
+                )
+        if expr.kind == "scalar":
+            if expr.operand is None or expr.op is None:
+                return answer
+            outer = self._eval(expr.operand, scope)
+            comparison = BinaryOp(expr.op, Literal(outer), Literal(answer))
+            return self._eval_binary(comparison, scope)
+        if expr.kind in ("in", "not_in"):
+            outer = self._eval(expr.operand, scope) if expr.operand else None
+            verdict = answer.contains(outer)
+            return _not3(verdict) if expr.kind == "not_in" else verdict
+        return not answer if expr.kind == "not_exists" else answer
+
+    def _subquery_answer(self, expr: SubqueryExpr, scope: _Scope) -> Any:
+        """Run the inner statement once: the scalar value, the IN
+        :class:`_Members`, or the EXISTS row presence."""
         self._stats.subqueries += 1
         # The enclosing block's window values must not leak into the
         # subquery's own evaluation (its windows get their own scope).
@@ -1222,30 +1282,13 @@ class Executor:
                 raise SubqueryColumnsError("scalar subquery must return one column")
             if len(result.rows) > 1:
                 raise SubqueryError("scalar subquery returned more than one row")
-            value = result.rows[0][0] if result.rows else None
-            if expr.operand is None or expr.op is None:
-                return value
-            outer = self._eval(expr.operand, scope)
-            comparison = BinaryOp(expr.op, Literal(outer), Literal(value))
-            return self._eval_binary(comparison, scope)
+            return result.rows[0][0] if result.rows else None
         if expr.kind in ("in", "not_in"):
             if len(result.columns) != 1:
                 raise SubqueryColumnsError("IN subquery must return one column")
-            outer = self._eval(expr.operand, scope) if expr.operand else None
-            values = result.first_column()
-            if outer is None:
-                # NULL IN (empty set) is false; otherwise unknown.
-                verdict: Any = False if not values else None
-            elif any(values_equal(outer, v) for v in values):
-                verdict = True
-            elif any(v is None for v in values):
-                verdict = None
-            else:
-                verdict = False
-            return _not3(verdict) if expr.kind == "not_in" else verdict
+            return _Members(result.first_column(), hashed=self.use_planner)
         if expr.kind in ("exists", "not_exists"):
-            has_rows = bool(result.rows)
-            return not has_rows if expr.kind == "not_exists" else has_rows
+            return bool(result.rows)
         raise ExecutionError(f"unknown subquery kind {expr.kind!r}")  # pragma: no cover
 
     # -- grouped evaluation -------------------------------------------------------

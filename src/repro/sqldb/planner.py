@@ -78,7 +78,10 @@ class ExecutionStats:
     hash_probes: int = 0
     loop_comparisons: int = 0
     predicates_pushed: int = 0
+    #: inner statements executed (an uncorrelated subquery runs once)
     subqueries: int = 0
+    #: subquery evaluations answered from the per-statement cache
+    subquery_cache_hits: int = 0
     statement_cache_hits: int = 0
     statement_cache_misses: int = 0
     preflight_checks: int = 0

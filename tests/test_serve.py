@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro.systems  # noqa: F401  (imported to populate the registry)
+from repro.core.pipeline import NLIDBSystem
 from repro.core.registry import create
 from repro.serve import (
     CLOSED,
@@ -164,6 +165,8 @@ class TestCircuitBreaker:
 # ---------------------------------------------------------------------------
 
 QUESTION = "salary of Ada"
+#: every system in the default chain abstains on this one
+UNANSWERABLE = "flibbertigibbet quux zorp"
 
 
 def make_service(emp_ctx, **kwargs):
@@ -308,9 +311,51 @@ class TestResilientService:
         clock.now = 200.0
         assert service.breaker("athena").allow()
 
+    def test_abstentions_leave_breaker_closed(self, emp_ctx):
+        """An unanswerable question is a completed run, not a failure."""
+        service = make_service(emp_ctx, failure_threshold=3)
+        for _ in range(3):
+            result = service.ask(UNANSWERABLE)
+            assert not result.ok and len(result.degraded_from) == 3
+        for name in service.fallback_chain:
+            assert service.breaker(name).state == CLOSED
+            assert service.breaker(name).failures == 0
+        assert service.ask(QUESTION).system == "athena"
+
+    def test_abstaining_half_open_probe_closes_breaker(self, emp_ctx):
+        clock = FakeClock()
+        service = make_service(
+            emp_ctx, failure_threshold=3, recovery_s=10.0, clock=clock
+        )
+        breaker = service.breaker("athena")
+        for _ in range(3):
+            breaker.record_failure()
+        assert breaker.state == OPEN
+        clock.now = 11.0
+        result = service.ask(UNANSWERABLE)
+        assert ("athena", "no interpretation") in result.degraded_from
+        # the probe resolved: closed again, and the next caller is let in
+        assert breaker.state == CLOSED
+        assert breaker.allow() and breaker.allow()
+
+    def test_raising_system_still_trips_breaker(self, emp_ctx):
+        class Exploding(NLIDBSystem):
+            name = "exploding"
+
+            def interpret(self, question, context):
+                raise RuntimeError("interpretation exploded")
+
+        service = make_service(emp_ctx, fallback_chain=("exploding",), failure_threshold=3)
+        service._systems["exploding"] = Exploding()
+        for _ in range(3):
+            result = service.ask(QUESTION)
+            assert not result.ok
+            assert "RuntimeError" in result.degraded_from[0][1]
+        assert service.breaker("exploding").state == OPEN
+
     def test_unknown_question_degrades_not_raises(self, emp_ctx):
         service = make_service(emp_ctx)
-        result = service.ask("flibbertigibbet quux zorp")
+        result = service.ask(UNANSWERABLE)
         assert isinstance(result, ServeResult)
         assert not result.ok
         assert len(result.degraded_from) == 3

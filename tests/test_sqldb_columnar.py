@@ -8,7 +8,7 @@ Three layers of assurance, mirroring how the row path earned trust:
    byte for byte (and sqlite3, for the NULL corpus).
 2. **Seeded property tests** — hypothesis-generated WHERE clauses over a
    mixed-type table with NULLs, columnar vs naive.
-3. **Unit tests** — chunk partitioning, the fork pool, ColumnStore
+3. **Unit tests** — chunk partitioning, ColumnStore
    layout/invalidation, scan statistics, EXPLAIN surface, fallback
    reasons, and bulk inserts.
 """
@@ -23,7 +23,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.perf import DEFAULT_CHUNK_ROWS, chunk_spans, run_partitioned
+from repro.perf import chunk_spans
 from repro.sqldb import (
     Column,
     ColumnStore,
@@ -115,7 +115,7 @@ def null_engines():
     oracle = sqlite3.connect(":memory:")
     oracle.execute("CREATE TABLE t (id INTEGER, a INTEGER, b INTEGER, s TEXT)")
     oracle.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", NULL_ROWS)
-    # Tiny chunks so even the 5-row table takes the partitioned route.
+    # Tiny chunks so even the 5-row table is scanned in several chunks.
     yield Executor(db, use_columnar=True, scan_chunk_rows=2), oracle
     oracle.close()
 
@@ -254,11 +254,6 @@ def test_property_columnar_grouped_matches_naive(where, key):
 # ---------------------------------------------------------------------------
 
 
-def _span_sum(shared, lo, hi):
-    """Module-level so the fork pool can resolve it in workers."""
-    return sum(shared[lo:hi])
-
-
 class TestPartitioning:
     def test_chunk_spans_cover_all_rows(self):
         spans = chunk_spans(1_000_003, 131_072)
@@ -272,36 +267,6 @@ class TestPartitioning:
         # non-positive sizes degrade to the default chunk size
         assert chunk_spans(10, -5) == [(0, 10)]
         assert chunk_spans(10, 0) == [(0, 10)]
-
-    def test_run_partitioned_serial_equals_parallel(self):
-        data = list(range(10_000))
-        spans = chunk_spans(len(data), 1_000)
-        serial = run_partitioned(_span_sum, data, spans, jobs=1)
-        parallel = run_partitioned(_span_sum, data, spans, jobs=4)
-        assert serial == parallel
-        assert sum(serial) == sum(data)
-
-    def test_parallel_scan_equals_serial_scan(self):
-        rng = random.Random(11)
-        db = Database("par")
-        db.create_table(
-            TableSchema(
-                "t",
-                [
-                    Column("id", DataType.INTEGER, primary_key=True),
-                    Column("v", DataType.INTEGER),
-                ],
-            )
-        )
-        db.insert_many("t", [[i, rng.randint(0, 999)] for i in range(5_000)])
-        sql = "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM t WHERE v > 250"
-        serial = Executor(db, scan_chunk_rows=512, scan_jobs=0)
-        parallel = Executor(db, scan_chunk_rows=512, scan_jobs=4)
-        assert _strict_rows(serial.execute_sql(sql)) == _strict_rows(
-            parallel.execute_sql(sql)
-        )
-        assert parallel.last_stats.vectorized == 1
-        assert parallel.last_stats.partitions_scanned == 10
 
 
 # ---------------------------------------------------------------------------
