@@ -1,17 +1,19 @@
-"""P7 — Static inference pass: two-valued kernels and candidate pruning.
+"""P7 — Static inference pass: plan rewrites and candidate pruning.
 
 Two measurements, both against the same engine with the inference pass
 toggled (``Executor(db, infer=...)``):
 
-1. **Kernel throughput** — the telemetry workload
+1. **Plan rewrites** — the telemetry workload
    (:mod:`repro.bench.workload_gen`) over a million-row fact table whose
-   hot columns are declared NOT NULL.  With inference off every
-   predicate pays the int8 Kleene mask path; with inference on the
-   engine proves the columns NULL-free, drops implied/tautological
-   conjuncts, and compiles two-valued bool kernels that never touch the
-   validity bitmap.  Parity is asserted for every generated query before
-   anything is timed, and a provably-empty WHERE is timed separately to
-   show the static short-circuit skipping the scan entirely.
+   hot columns are declared NOT NULL.  Inference only rewrites plans
+   (folds constants, drops implied/tautological conjuncts,
+   short-circuits provably-empty WHERE clauses); both settings run the
+   same columnar mask kernels, whose conjuncts over NULL-free columns
+   never touch the validity bitmap.  Parity is asserted for every
+   generated query before anything is timed, the NOT NULL scan classes
+   must report two-valued conjuncts, and a provably-empty WHERE is timed
+   separately to show the static short-circuit skipping the scan
+   entirely.
 2. **Candidate pruning** — every registered NLIDB system interprets the
    generated question sets of the bench domains; *all* candidate
    interpretations (not just the top one) are compiled and analyzed.
@@ -21,13 +23,17 @@ toggled (``Executor(db, infer=...)``):
    records both counts per domain and requires a nonzero statically
    pruned/flagged count on at least one domain.
 
-Emits ``benchmarks/results/p7_inference.txt`` and
-``BENCH_inference.json`` at the repo root.
+Emits ``benchmarks/results/p7_inference.txt`` and, for a full run,
+``BENCH_inference.json`` at the repo root (a ``--quick`` run writes
+``benchmarks/results/p7_inference.quick.json`` instead, so a smoke run
+never overwrites the full-scale record).
 
-Acceptance floor: >=1.3x two-valued speedup on the NOT NULL scan
-classes at the full million-row scale (relaxed at ``--quick`` scale,
+Acceptance floor: the provably-empty WHERE answers >=5x faster with
+inference on at the full million-row scale (>1x at ``--quick`` scale,
 where fixed overheads dominate the scan), and a nonzero pruned-candidate
-count on at least one bench domain at either scale.
+count on at least one bench domain at either scale.  Per-class timings
+are recorded without a floor: with one kernel family, inference on and
+off differ only where a rewrite applies.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from typing import Callable, Dict, List, Tuple
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _common import emit
+from _common import RESULTS_DIR, emit
 from repro.bench.harness import format_table
 from repro.bench.workload_gen import build_telemetry_db, generate_telemetry_queries
 from repro.sqldb.executor import Executor
@@ -49,8 +55,8 @@ from repro.sqldb.executor import Executor
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SEED = 0
-#: scan classes whose predicates hit only NOT NULL columns: the
-#: inference pass must compile two-valued kernels for every one of them
+#: scan classes whose predicates hit only NOT NULL columns: every one of
+#: them must report two-valued conjuncts (masks with no UNKNOWN rows)
 TWOVAL_CLASSES = ("range_count", "scan_agg", "ts_window")
 #: question sets for the pruning measurement (full runs cover them all)
 PRUNING_DOMAINS = ("finance", "geo", "healthcare", "hr", "movies", "retail", "university")
@@ -84,25 +90,25 @@ def _kernel_section(quick: bool) -> Tuple[Dict[str, Dict[str, float]], Dict[str,
 
     db = build_telemetry_db(n_rows=n_rows, seed=SEED)
     queries = generate_telemetry_queries(n_rows, per_template, seed=SEED)
-    kleene = Executor(db, infer=False)
-    twoval = Executor(db, infer=True)
+    off = Executor(db, infer=False)
+    on = Executor(db, infer=True)
     row = Executor(db, use_columnar=False, infer=False)
 
     # Parity before timing: inference on vs off on every generated query
     # (type-tagged rows), plus the row interpreter three-way at quick
     # scale where the per-row path is affordable.
     for q in queries:
-        expected = _strict_rows(kleene.execute_sql(q.sql))
-        assert _strict_rows(twoval.execute_sql(q.sql)) == expected, q.sql
+        expected = _strict_rows(off.execute_sql(q.sql))
+        assert _strict_rows(on.execute_sql(q.sql)) == expected, q.sql
         if quick:
             assert _strict_rows(row.execute_sql(q.sql)) == expected, q.sql
 
-    # The NOT NULL scan classes must actually take the two-valued path.
+    # The NOT NULL scan classes must run vectorized with two-valued conjuncts.
     for q in queries:
-        twoval.execute_sql(q.sql)
+        on.execute_sql(q.sql)
         if q.template in TWOVAL_CLASSES:
-            assert twoval.last_stats.twoval_kernels >= 1, (q.template, q.sql)
-            assert twoval.last_stats.vectorized == 1, (q.template, q.sql)
+            assert on.last_stats.twoval_kernels >= 1, (q.template, q.sql)
+            assert on.last_stats.vectorized == 1, (q.template, q.sql)
 
     by_class: Dict[str, List[str]] = {}
     for q in queries:
@@ -114,28 +120,28 @@ def _kernel_section(quick: bool) -> Tuple[Dict[str, Dict[str, float]], Dict[str,
             for sql in sqls:
                 executor.execute_sql(sql)
 
-        kleene_s = timeit(lambda: run_all(kleene), repeat)
-        twoval_s = timeit(lambda: run_all(twoval), repeat)
-        twoval.execute_sql(sqls[0])
+        off_s = timeit(lambda: run_all(off), repeat)
+        on_s = timeit(lambda: run_all(on), repeat)
+        on.execute_sql(sqls[0])
         classes[template] = {
-            "kleene_s": kleene_s,
-            "twoval_s": twoval_s,
-            "speedup": kleene_s / twoval_s,
-            "twoval_kernels": float(twoval.last_stats.twoval_kernels),
-            "static_rewrites": float(twoval.last_stats.static_rewrites),
+            "infer_off_s": off_s,
+            "infer_on_s": on_s,
+            "speedup": off_s / on_s,
+            "twoval_kernels": float(on.last_stats.twoval_kernels),
+            "static_rewrites": float(on.last_stats.static_rewrites),
         }
 
-    # Provably-empty WHERE: full Kleene scan vs static short-circuit.
-    expected = _strict_rows(kleene.execute_sql(EMPTY_SQL))
-    assert _strict_rows(twoval.execute_sql(EMPTY_SQL)) == expected
-    assert twoval.last_stats.static_short_circuits == 1
-    assert twoval.last_stats.rows_scanned == 0
-    empty_kleene_s = timeit(lambda: kleene.execute_sql(EMPTY_SQL), repeat)
-    empty_twoval_s = timeit(lambda: twoval.execute_sql(EMPTY_SQL), repeat)
+    # Provably-empty WHERE: full scan vs static short-circuit.
+    expected = _strict_rows(off.execute_sql(EMPTY_SQL))
+    assert _strict_rows(on.execute_sql(EMPTY_SQL)) == expected
+    assert on.last_stats.static_short_circuits == 1
+    assert on.last_stats.rows_scanned == 0
+    empty_off_s = timeit(lambda: off.execute_sql(EMPTY_SQL), repeat)
+    empty_on_s = timeit(lambda: on.execute_sql(EMPTY_SQL), repeat)
     empty = {
-        "kleene_s": empty_kleene_s,
-        "twoval_s": empty_twoval_s,
-        "speedup": empty_kleene_s / empty_twoval_s,
+        "infer_off_s": empty_off_s,
+        "infer_on_s": empty_on_s,
+        "speedup": empty_off_s / empty_on_s,
     }
     return classes, empty, n_rows
 
@@ -192,13 +198,11 @@ def run(quick: bool = False) -> Dict[str, object]:
     classes, empty, n_rows = _kernel_section(quick)
     pruning = _pruning_section(quick)
 
-    floor = min(classes[name]["speedup"] for name in TWOVAL_CLASSES)
     max_pruned = max(int(stats["statically_pruned"]) for stats in pruning.values())
     results: Dict[str, object] = {
         "scale_rows": n_rows,
         "seed": SEED,
         "classes": classes,
-        "twoval_min_speedup": floor,
         "empty_short_circuit": empty,
         "pruning": pruning,
         "max_statically_pruned": max_pruned,
@@ -207,8 +211,8 @@ def run(quick: bool = False) -> Dict[str, object]:
     table: List[Dict[str, object]] = [
         {
             "workload class": template,
-            "kleene_s": f"{stats['kleene_s']:.4f}",
-            "twoval_s": f"{stats['twoval_s']:.4f}",
+            "infer_off_s": f"{stats['infer_off_s']:.4f}",
+            "infer_on_s": f"{stats['infer_on_s']:.4f}",
             "speedup": f"{stats['speedup']:.2f}x",
             "2vl kernels": int(stats["twoval_kernels"]),
             "rewrites": int(stats["static_rewrites"]),
@@ -218,15 +222,15 @@ def run(quick: bool = False) -> Dict[str, object]:
     table.append(
         {
             "workload class": "provably-empty",
-            "kleene_s": f"{empty['kleene_s']:.4f}",
-            "twoval_s": f"{empty['twoval_s']:.4f}",
+            "infer_off_s": f"{empty['infer_off_s']:.4f}",
+            "infer_on_s": f"{empty['infer_on_s']:.4f}",
             "speedup": f"{empty['speedup']:.1f}x",
             "2vl kernels": 0,
             "rewrites": "short-circuit",
         }
     )
     title = (
-        f"P7: two-valued kernels vs Kleene masks "
+        f"P7: inference off vs on "
         f"({n_rows} rows, seed={SEED}{', quick' if quick else ''})"
     )
     prune_table = [
@@ -246,21 +250,23 @@ def run(quick: bool = False) -> Dict[str, object]:
         + format_table(prune_table, "P7: static candidate pruning over bench domains"),
     )
 
-    with open(os.path.join(REPO_ROOT, "BENCH_inference.json"), "w", encoding="utf-8") as f:
+    if quick:
+        out = os.path.join(RESULTS_DIR, "p7_inference.quick.json")
+    else:
+        out = os.path.join(REPO_ROOT, "BENCH_inference.json")
+    with open(out, "w", encoding="utf-8") as f:
         json.dump(results, f, indent=2, sort_keys=True)
 
     if not quick:
-        assert floor >= 1.3, results
         assert empty["speedup"] >= 5.0, results
     else:
-        assert floor > 0.5, results
         assert empty["speedup"] > 1.0, results
     assert max_pruned > 0, results
     return results
 
 
 def test_p7_inference(benchmark):
-    """pytest-benchmark entry: run once, time one two-valued scan."""
+    """pytest-benchmark entry: run once, time one NOT NULL range scan."""
     run(quick=True)
     db = build_telemetry_db(n_rows=20_000, seed=SEED)
     executor = Executor(db, infer=True)
@@ -272,13 +278,12 @@ def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="small scale for CI smoke runs (relaxed speedup floor)",
+        help="small scale for CI smoke runs (relaxed short-circuit floor)",
     )
     args = parser.parse_args(argv)
     results = run(quick=args.quick)
     print(
-        f"\ntwo-valued min speedup {results['twoval_min_speedup']:.2f}x at "
-        f"{results['scale_rows']} rows; empty-WHERE short-circuit "
+        f"\n{results['scale_rows']} rows; empty-WHERE short-circuit "
         f"{results['empty_short_circuit']['speedup']:.1f}x; "
         f"max statically pruned candidates {results['max_statically_pruned']}"
     )

@@ -444,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     sql.add_argument(
         "--no-infer",
         action="store_true",
-        help="disable the static inference pass (predicate simplification, "
-        "two-valued kernels)",
+        help="disable the static inference pass (constant folding, predicate "
+        "simplification, provably-empty short-circuits)",
     )
     sql.add_argument(
         "--lint",

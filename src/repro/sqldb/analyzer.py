@@ -56,7 +56,6 @@ propagation makes ``NOT IN`` unsatisfiable.
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -84,26 +83,21 @@ from .ast import (
 from .errors import ERROR_CLASS_BY_CODE, ParseError
 from .functions import SCALAR_FUNCTIONS
 from .schema import TableSchema
-from .types import DataType
+from .types import (
+    BOOL,
+    DATE,
+    FAMILY_BY_DTYPE,
+    NUMBER,
+    TEXT,
+    families_compatible,
+    literal_family,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .database import Database
 
 ERROR = "error"
 WARNING = "warning"
-
-#: Type families the checker reasons in.  Coarser than
-#: :class:`~repro.sqldb.types.DataType`: INTEGER and FLOAT collapse into
-#: ``number`` because the engine compares and computes across them freely.
-NUMBER, TEXT, DATE, BOOL = "number", "text", "date", "boolean"
-
-_FAMILY_BY_DTYPE = {
-    DataType.INTEGER: NUMBER,
-    DataType.FLOAT: NUMBER,
-    DataType.TEXT: TEXT,
-    DataType.DATE: DATE,
-    DataType.BOOLEAN: BOOL,
-}
 
 #: (min_arity, max_arity, arg families, result family) per scalar function.
 #: Kept consistent with :data:`repro.sqldb.functions.SCALAR_FUNCTIONS`.
@@ -310,7 +304,7 @@ class SemanticAnalyzer:
                 and len(families) == len(first_families)
             ):
                 for i, (f1, f2) in enumerate(zip(first_families, families)):
-                    if not _compatible(f1, f2):
+                    if not families_compatible(f1, f2):
                         self._emit(
                             "SQL311",
                             WARNING,
@@ -555,7 +549,7 @@ class SemanticAnalyzer:
                         if schema is None:
                             return None  # unknown table already reported
                         if ref.column in schema:
-                            return _FAMILY_BY_DTYPE.get(schema.column(ref.column).dtype)
+                            return FAMILY_BY_DTYPE.get(schema.column(ref.column).dtype)
                         self._emit(
                             "SQL211",
                             ERROR,
@@ -581,7 +575,7 @@ class SemanticAnalyzer:
                 )
                 return None
             if matches:
-                return _FAMILY_BY_DTYPE.get(matches[0].column(ref.column).dtype)
+                return FAMILY_BY_DTYPE.get(matches[0].column(ref.column).dtype)
             if any(schema is None for _, schema in level.bindings):
                 return None  # might belong to the unknown table — stay quiet
             level = level.parent
@@ -594,7 +588,7 @@ class SemanticAnalyzer:
         """Infer the type family of a per-row expression, emitting
         diagnostics along the way; ``None`` means unknown (no claims)."""
         if isinstance(expr, Literal):
-            return _literal_family(expr.value)
+            return literal_family(expr.value)
         if isinstance(expr, ColumnRef):
             return self._resolve(expr, scope)
         if isinstance(expr, Star):
@@ -617,7 +611,7 @@ class SemanticAnalyzer:
             operand = self._infer(expr.operand, scope, ctx)
             low = self._infer(expr.low, scope, ctx)
             high = self._infer(expr.high, scope, ctx)
-            if not _compatible(operand, low) or not _compatible(operand, high):
+            if not families_compatible(operand, low) or not families_compatible(operand, high):
                 # values_compare returns None on mismatch → range test false.
                 self._emit(
                     "SQL305",
@@ -636,7 +630,7 @@ class SemanticAnalyzer:
                 if isinstance(item, Literal) and item.value is None:
                     null_items += 1
                     continue
-                if not _compatible(operand, self._infer(item, scope, ctx)):
+                if not families_compatible(operand, self._infer(item, scope, ctx)):
                     mismatched += 1
             if mismatched:
                 self._emit(
@@ -690,7 +684,7 @@ class SemanticAnalyzer:
         result_families: List[Optional[str]] = []
         for when, result in expr.whens:
             when_family = sub(when)
-            if expr.operand is not None and not _compatible(
+            if expr.operand is not None and not families_compatible(
                 operand_family, when_family
             ):
                 self._emit(
@@ -707,7 +701,7 @@ class SemanticAnalyzer:
         distinct = sorted(set(known))
         if len(distinct) > 1:
             if any(
-                not _compatible(a, b) for a in distinct for b in distinct if a != b
+                not families_compatible(a, b) for a in distinct for b in distinct if a != b
             ):
                 self._emit(
                     "SQL314",
@@ -793,7 +787,7 @@ class SemanticAnalyzer:
                 self._emit("SQL303", ERROR, "LIKE requires text operands", expr)
             return BOOL
         if op in ("=", "!=", "<", "<=", ">", ">="):
-            if not _compatible(left, right):
+            if not families_compatible(left, right):
                 # values_equal/values_compare treat the pair as unequal /
                 # incomparable, so the predicate is constant — warning only.
                 self._emit(
@@ -970,7 +964,7 @@ class SemanticAnalyzer:
             operand = (
                 self._infer(expr.operand, scope, ctx) if expr.operand is not None else None
             )
-            if not _compatible(operand, sub_family):
+            if not families_compatible(operand, sub_family):
                 self._emit(
                     "SQL304",
                     WARNING,
@@ -982,7 +976,7 @@ class SemanticAnalyzer:
         if expr.kind == "scalar":
             if expr.operand is not None:
                 operand = self._infer(expr.operand, scope, ctx)
-                if not _compatible(operand, sub_family):
+                if not families_compatible(operand, sub_family):
                     self._emit(
                         "SQL301",
                         WARNING,
@@ -1012,7 +1006,7 @@ class SemanticAnalyzer:
         if isinstance(expr, FuncCall) and expr.is_aggregate:
             return self._infer_call(expr, scope, ctx)
         if isinstance(expr, Literal):
-            return _literal_family(expr.value)
+            return literal_family(expr.value)
         if isinstance(expr, BinaryOp):
             if expr.op in ("AND", "OR"):
                 self._infer_group(expr.left, scope, ctx)
@@ -1053,35 +1047,6 @@ class SemanticAnalyzer:
                     node,
                 )
         return family
-
-
-def _literal_family(value: Any) -> Optional[str]:
-    """Type family of a literal's Python value; ``None`` for NULL or for
-    values outside the engine's scalar domain (no claims about those —
-    programmatic ASTs may carry arbitrary payloads)."""
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return BOOL
-    if isinstance(value, (int, float)):
-        return NUMBER
-    if isinstance(value, datetime.date):
-        return DATE
-    if isinstance(value, str):
-        return TEXT
-    return None
-
-
-def _compatible(left: Optional[str], right: Optional[str]) -> bool:
-    """Whether two families can ever compare equal/ordered at runtime.
-
-    TEXT and DATE are mutually compatible because the engine implicitly
-    parses ISO-date strings compared against DATE values."""
-    if left is None or right is None or left == right:
-        return True
-    if {left, right} == {TEXT, DATE}:
-        return True
-    return False
 
 
 def analyze(database: "Database", stmt: SelectStatement) -> AnalysisResult:

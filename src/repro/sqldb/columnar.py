@@ -5,7 +5,7 @@ one row at a time over Python tuples; at survey scale (§6's latency
 discussion) that costs microseconds per row and makes million-row
 analytics queries take seconds.  This module adds a columnar mirror of
 each table — one NumPy array per column plus a validity (NULL) bitmap —
-and compiles eligible WHERE clauses into **Kleene three-valued masks**
+and compiles eligible WHERE clauses into **three-valued mask kernels**
 evaluated array-at-a-time.
 
 Design rules, in priority order:
@@ -30,10 +30,13 @@ Design rules, in priority order:
      at compile time and the query **falls back** to the row path, which
      then produces the canonical behaviour (including errors).
 
-2. **Three-valued logic as int8 arrays.**  FALSE=0, UNKNOWN=1, TRUE=2;
-   Kleene AND is ``minimum``, OR is ``maximum``, NOT is ``2 - x``, and
-   the final WHERE keep-mask is ``mask == TRUE`` — exactly the
-   executor's ``_truthy``.
+2. **Three-valued logic as a pair of bool masks.**  Every kernel yields
+   ``(true, unknown)``; ``unknown`` is ``None`` when no column the
+   kernel reads holds a NULL, so predicates over NULL-free columns cost
+   one comparison array and no bitmap work.  NOT, AND and OR combine the
+   pairs with Kleene's truth tables, and the WHERE keep-mask is the AND
+   of the top-level conjuncts' ``true`` arrays — exactly the executor's
+   ``_truthy``.
 
 3. **Chunked scans.**  Masks are computed per fixed-size row chunk
    (:func:`repro.perf.partition.chunk_spans`) and concatenated in chunk
@@ -81,13 +84,10 @@ from .errors import (
     UnknownFunctionError,
 )
 from .functions import AGGREGATE_FUNCTIONS, call_scalar
-from .types import DataType, iso_date_or_none, values_compare, values_equal
+from .types import DataType, iso_date_or_none, like_to_regex, values_compare, values_equal
 
 from ..perf.partition import DEFAULT_CHUNK_ROWS, chunk_spans
 from ..perf.profiler import active_profiler
-
-#: Kleene truth codes; AND = minimum, OR = maximum, NOT = 2 - x.
-FALSE3, UNKNOWN3, TRUE3 = 0, 1, 2
 
 #: Widest fixed-width unicode column we will materialize (per string),
 #: and a cap on the whole array's character budget so a single huge
@@ -120,17 +120,23 @@ class ColumnData:
     ``text`` (vectorizable) or ``other`` (only the NULL bitmap and the
     original Python values are available — IS NULL, COUNT and list-path
     aggregates still work).  ``values`` uses a neutral fill (0 / 0.0 /
-    '' / False) at NULL positions; ``null`` is the validity complement.
-    ``pylist`` holds the *original* Python objects in row order — every
-    value the engine outputs comes from here, never from the array.
+    '' / False) at NULL positions; ``null`` is the validity complement
+    and ``has_null`` whether it marks any row (a store is rebuilt after
+    every write, so the flag cannot go stale).  ``pylist`` holds the
+    *original* Python objects in row order — every value the engine
+    outputs comes from here, never from the array.
     """
 
-    __slots__ = ("kind", "values", "null", "pylist", "has_nan", "int_sum_safe", "_float_view")
+    __slots__ = (
+        "kind", "values", "null", "has_null", "pylist", "has_nan", "int_sum_safe",
+        "_float_view",
+    )
 
     def __init__(self, kind: str, values: Any, null: Any, pylist: List[Any]):
         self.kind = kind
         self.values = values
         self.null = null
+        self.has_null = bool(null.any())
         self.pylist = pylist
         self.has_nan = False
         self.int_sum_safe = False
@@ -241,23 +247,50 @@ class ColumnStore:
 
 # ---------------------------------------------------------------------------
 # Compiled predicate kernels
+#
+# Every kernel's ``eval`` returns ``(true, unknown)`` over rows
+# ``[lo, hi)``: ``true`` is a bool array set only on TRUE rows, and
+# ``unknown`` a bool array set only on UNKNOWN rows — or ``None`` when no
+# column the kernel reads holds a NULL, so NULL-free columns never touch
+# a validity bitmap.  FALSE is whatever neither array marks.  Kernels
+# may return views of store arrays: nothing writes into a kernel's
+# result in place.
 # ---------------------------------------------------------------------------
 
 
-def _blank(n: int, code: int) -> Any:
-    return np.full(n, code, dtype=np.int8)
+def _nulls(store: ColumnStore, js: Sequence[int], lo: int, hi: int) -> Any:
+    """Rows where any of columns ``js`` is NULL, or ``None`` when none
+    of them holds a NULL."""
+    null = None
+    for j in js:
+        col = store.cols[j]
+        if col.has_null:
+            part = col.null[lo:hi]
+            null = part if null is None else null | part
+    return null
+
+
+def _unknown_at(truth: Any, null: Any) -> Tuple[Any, Any]:
+    """A verdict that is UNKNOWN wherever ``null`` is set and ``truth``
+    elsewhere (the fill values under NULL slots say nothing)."""
+    if null is None:
+        return truth, None
+    return truth & ~null, null
 
 
 class _Const:
-    """A literal in boolean position: the row path's ``_bool3(value)``."""
+    """A literal in boolean position: the row path's ``_bool3(value)``,
+    held as ``True`` / ``False`` / ``None`` (UNKNOWN)."""
 
-    __slots__ = ("code",)
+    __slots__ = ("value",)
 
-    def __init__(self, code: int):
-        self.code = code
+    def __init__(self, value: Optional[bool]):
+        self.value = value
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return _blank(hi - lo, self.code)
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Tuple[Any, Any]:
+        n = hi - lo
+        unknown = np.ones(n, dtype=np.bool_) if self.value is None else None
+        return np.full(n, bool(self.value), dtype=np.bool_), unknown
 
 
 class _FixedNonNull:
@@ -265,19 +298,16 @@ class _FixedNonNull:
     (cross-family comparisons: ``values_equal`` says False, ordering says
     incomparable) but UNKNOWN where any referenced column is NULL."""
 
-    __slots__ = ("js", "code")
+    __slots__ = ("js", "value")
 
-    def __init__(self, js: Sequence[int], code: int):
+    def __init__(self, js: Sequence[int], value: bool):
         self.js = tuple(js)
-        self.code = code
+        self.value = value
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        out = _blank(hi - lo, self.code)
-        null = store.cols[self.js[0]].null[lo:hi]
-        for j in self.js[1:]:
-            null = null | store.cols[j].null[lo:hi]
-        out[null] = UNKNOWN3
-        return out
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Tuple[Any, Any]:
+        return _unknown_at(
+            np.full(hi - lo, self.value, dtype=np.bool_), _nulls(store, self.js, lo, hi)
+        )
 
 
 class _Truthy:
@@ -288,11 +318,10 @@ class _Truthy:
     def __init__(self, j: int):
         self.j = j
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Tuple[Any, Any]:
         col = store.cols[self.j]
-        n = hi - lo
         if col.kind == "date":
-            out = _blank(n, TRUE3)  # dates are always truthy
+            truth = np.ones(hi - lo, dtype=np.bool_)  # dates are always truthy
         else:
             vals = col.values[lo:hi]
             if col.kind == "int":
@@ -303,14 +332,11 @@ class _Truthy:
                 truth = vals
             else:  # text
                 truth = vals != ""
-            out = _blank(n, FALSE3)
-            out[truth] = TRUE3
-        out[col.null[lo:hi]] = UNKNOWN3
-        return out
+        return _unknown_at(truth, _nulls(store, (self.j,), lo, hi))
 
 
 class _IsNullPred:
-    """``IS [NOT] NULL`` — the one NULL test that yields a plain bool."""
+    """``IS [NOT] NULL`` — the one NULL test that is never UNKNOWN."""
 
     __slots__ = ("j", "negated")
 
@@ -318,11 +344,9 @@ class _IsNullPred:
         self.j = j
         self.negated = negated
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Tuple[Any, Any]:
         null = store.cols[self.j].null[lo:hi]
-        out = _blank(hi - lo, TRUE3 if self.negated else FALSE3)
-        out[null] = FALSE3 if self.negated else TRUE3
-        return out
+        return (~null if self.negated else null), None
 
 
 _CMP_FUNCS = {
@@ -351,17 +375,14 @@ class _CmpColLit:
         self.rhs = rhs
         self.domain = domain
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Tuple[Any, Any]:
         col = store.cols[self.j]
         if self.domain == "num":
             lhs = col.as_float()[lo:hi]
         else:
             lhs = col.values[lo:hi]
         truth = _CMP_FUNCS[self.op](lhs, self.rhs)
-        out = _blank(hi - lo, FALSE3)
-        out[truth] = TRUE3
-        out[col.null[lo:hi]] = UNKNOWN3
-        return out
+        return _unknown_at(truth, _nulls(store, (self.j,), lo, hi))
 
 
 class _CmpColCol:
@@ -376,36 +397,19 @@ class _CmpColCol:
         self.op = op
         self.domain = domain
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Tuple[Any, Any]:
         cl, cr = store.cols[self.jl], store.cols[self.jr]
         if self.domain == "num":
             lhs, rhs = cl.as_float()[lo:hi], cr.as_float()[lo:hi]
         else:
             lhs, rhs = cl.values[lo:hi], cr.values[lo:hi]
         truth = _CMP_FUNCS[self.op](lhs, rhs)
-        out = _blank(hi - lo, FALSE3)
-        out[truth] = TRUE3
-        out[cl.null[lo:hi] | cr.null[lo:hi]] = UNKNOWN3
-        return out
-
-
-_like_to_regex = None
-
-
-def _like_rx(pattern: str) -> Any:
-    # Shared with the row path so both compile the identical regex (and
-    # share its memoization); imported lazily to keep module loading
-    # acyclic.
-    global _like_to_regex
-    if _like_to_regex is None:
-        from .executor import _like_to_regex as impl
-
-        _like_to_regex = impl
-    return _like_to_regex(pattern)
+        return _unknown_at(truth, _nulls(store, (self.jl, self.jr), lo, hi))
 
 
 class _LikePred:
-    """``text_col LIKE 'pattern'`` via the row path's precompiled regex.
+    """``text_col LIKE 'pattern'`` via the regex the row path also uses
+    (:func:`~repro.sqldb.types.like_to_regex`).
 
     Evaluated over the original Python strings (regex semantics exactly
     match the per-row interpreter); this is the one kernel that loops in
@@ -418,386 +422,75 @@ class _LikePred:
         self.j = j
         self.pattern = pattern
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        match = _like_rx(self.pattern).match
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Tuple[Any, Any]:
+        match = like_to_regex(self.pattern).match
         chunk = store.cols[self.j].pylist[lo:hi]
-        return np.fromiter(
-            (
-                UNKNOWN3 if v is None else (TRUE3 if match(v) else FALSE3)
-                for v in chunk
-            ),
-            dtype=np.int8,
-            count=hi - lo,
-        )
-
-
-class _NotPred:
-    __slots__ = ("child",)
-
-    def __init__(self, child: Any):
-        self.child = child
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return (TRUE3 - self.child.eval(store, lo, hi)).astype(np.int8, copy=False)
-
-
-class _AndPred:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Any, right: Any):
-        self.left = left
-        self.right = right
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return np.minimum(self.left.eval(store, lo, hi), self.right.eval(store, lo, hi))
-
-
-class _OrPred:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Any, right: Any):
-        self.left = left
-        self.right = right
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return np.maximum(self.left.eval(store, lo, hi), self.right.eval(store, lo, hi))
-
-
-# ---------------------------------------------------------------------------
-# Two-valued (non-Kleene) kernels
-#
-# When the static inference pass proves a conjunct can never go UNKNOWN
-# on any row that matters — every column whose NULL would leak UNKNOWN
-# into its mask is NOT NULL (by schema or by data), or its NULL rows are
-# rejected outright by another conjunct that stays Kleene — the conjunct
-# is evaluated as a plain boolean array, skipping the validity bitmap
-# and the int8 blank/overwrite round trip entirely.
-# ---------------------------------------------------------------------------
-
-
-class _B2Const:
-    """A definite boolean constant (two-valued ``_Const``)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: bool):
-        self.value = value
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return np.full(hi - lo, self.value, dtype=np.bool_)
-
-
-class _B2Truthy:
-    """Two-valued ``_Truthy``: truthiness of a never-NULL column."""
-
-    __slots__ = ("j",)
-
-    def __init__(self, j: int):
-        self.j = j
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        col = store.cols[self.j]
-        if col.kind == "date":
-            return np.ones(hi - lo, dtype=np.bool_)
-        vals = col.values[lo:hi]
-        if col.kind == "int":
-            return vals != 0
-        if col.kind == "float":
-            return vals != 0.0
-        if col.kind == "bool":
-            return vals.copy()  # never hand out a store view
-        return vals != ""
-
-
-class _B2IsNullPred:
-    """Two-valued ``IS [NOT] NULL``.  Exact at *every* row (the Kleene
-    kernel is already definite), so it converts unconditionally."""
-
-    __slots__ = ("j", "negated")
-
-    def __init__(self, j: int, negated: bool):
-        self.j = j
-        self.negated = negated
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        null = store.cols[self.j].null[lo:hi]
-        return ~null if self.negated else null.copy()
-
-
-class _B2CmpColLit:
-    """Two-valued ``col OP literal`` — the comparison array, no bitmap."""
-
-    __slots__ = ("j", "op", "rhs", "domain")
-
-    def __init__(self, j: int, op: str, rhs: Any, domain: str):
-        self.j = j
-        self.op = op
-        self.rhs = rhs
-        self.domain = domain
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        col = store.cols[self.j]
-        if self.domain == "num":
-            lhs = col.as_float()[lo:hi]
-        else:
-            lhs = col.values[lo:hi]
-        return _CMP_FUNCS[self.op](lhs, self.rhs)
-
-
-class _B2CmpColCol:
-    """Two-valued ``col OP col``."""
-
-    __slots__ = ("jl", "jr", "op", "domain")
-
-    def __init__(self, jl: int, jr: int, op: str, domain: str):
-        self.jl = jl
-        self.jr = jr
-        self.op = op
-        self.domain = domain
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        cl, cr = store.cols[self.jl], store.cols[self.jr]
-        if self.domain == "num":
-            lhs, rhs = cl.as_float()[lo:hi], cr.as_float()[lo:hi]
-        else:
-            lhs, rhs = cl.values[lo:hi], cr.values[lo:hi]
-        return _CMP_FUNCS[self.op](lhs, rhs)
-
-
-class _B2Like:
-    """Two-valued LIKE.  The ``None`` guard covers rows whose NULLs are
-    rejected by a pinned Kleene conjunct — their value here is moot, but
-    the regex must not see ``None``."""
-
-    __slots__ = ("j", "pattern")
-
-    def __init__(self, j: int, pattern: str):
-        self.j = j
-        self.pattern = pattern
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        match = _like_rx(self.pattern).match
-        chunk = store.cols[self.j].pylist[lo:hi]
-        return np.fromiter(
-            (False if v is None else bool(match(v)) for v in chunk),
+        true = np.fromiter(
+            (False if v is None else match(v) is not None for v in chunk),
             dtype=np.bool_,
             count=hi - lo,
         )
+        return true, _nulls(store, (self.j,), lo, hi)
 
 
-class _B2Not:
+class _NotPred:
+    """Kleene NOT: TRUE and FALSE swap, UNKNOWN stays."""
+
     __slots__ = ("child",)
 
     def __init__(self, child: Any):
         self.child = child
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return ~self.child.eval(store, lo, hi)
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Tuple[Any, Any]:
+        true, unknown = self.child.eval(store, lo, hi)
+        if unknown is None:
+            return ~true, None
+        return ~(true | unknown), unknown
 
 
-class _B2And:
+class _AndPred:
+    """Kleene AND: TRUE when both sides are, UNKNOWN when neither side is
+    FALSE and one is UNKNOWN."""
+
     __slots__ = ("left", "right")
 
     def __init__(self, left: Any, right: Any):
         self.left = left
         self.right = right
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return self.left.eval(store, lo, hi) & self.right.eval(store, lo, hi)
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Tuple[Any, Any]:
+        lt, lu = self.left.eval(store, lo, hi)
+        rt, ru = self.right.eval(store, lo, hi)
+        if lu is None:
+            unknown = None if ru is None else ru & lt
+        elif ru is None:
+            unknown = lu & rt
+        else:
+            unknown = (lu & (rt | ru)) | (ru & lt)
+        return lt & rt, unknown
 
 
-class _B2Or:
+class _OrPred:
+    """Kleene OR: TRUE when either side is, UNKNOWN when neither side is
+    TRUE and one is UNKNOWN."""
+
     __slots__ = ("left", "right")
 
     def __init__(self, left: Any, right: Any):
         self.left = left
         self.right = right
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return self.left.eval(store, lo, hi) | self.right.eval(store, lo, hi)
-
-
-class _ConjunctivePred:
-    """Top-level AND over independently compiled conjunct kernels, some
-    Kleene int8 and some two-valued bool.
-
-    ``keep = AND_i (mask_i == TRUE3)`` is identical to evaluating the
-    Kleene AND of all conjuncts and testing ``== TRUE3`` at the end —
-    the decomposition the two-valued conversion relies on.  Combination
-    is non-inplace: kernels may return views of store arrays.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Sequence[Any]):
-        self.parts = tuple(parts)
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        out = None
-        for part in self.parts:
-            mask = part.eval(store, lo, hi)
-            keep = mask if mask.dtype == np.bool_ else mask == TRUE3
-            out = keep if out is None else out & keep
-        return out
-
-
-def _kernel_null_refs(kernel: Any) -> frozenset:
-    """Columns whose NULL at a row can make this kernel's two-valued
-    conversion diverge from the Kleene mask at that row.
-
-    ``_IsNullPred`` reads the bitmap but its verdict is definite and its
-    conversion exact everywhere, so it contributes nothing; ``_Const``
-    references no columns at all.
-    """
-    if isinstance(kernel, (_Truthy, _CmpColLit, _LikePred)):
-        return frozenset((kernel.j,))
-    if isinstance(kernel, _CmpColCol):
-        return frozenset((kernel.jl, kernel.jr))
-    if isinstance(kernel, _FixedNonNull):
-        return frozenset(kernel.js)
-    if isinstance(kernel, _NotPred):
-        return _kernel_null_refs(kernel.child)
-    if isinstance(kernel, (_AndPred, _OrPred)):
-        return _kernel_null_refs(kernel.left) | _kernel_null_refs(kernel.right)
-    return frozenset()
-
-
-def _null_outcomes(kernel: Any, j: int) -> Tuple[bool, bool]:
-    """``(never_true, never_false)`` of the Kleene kernel on rows where
-    column ``j`` is NULL."""
-    if isinstance(kernel, _Const):
-        return kernel.code != TRUE3, kernel.code != FALSE3
-    if isinstance(kernel, _FixedNonNull):
-        if j in kernel.js:
-            return True, True  # forced UNKNOWN
-        return kernel.code != TRUE3, kernel.code != FALSE3
-    if isinstance(kernel, (_Truthy, _CmpColLit, _LikePred)):
-        return (True, True) if kernel.j == j else (False, False)
-    if isinstance(kernel, _CmpColCol):
-        return (True, True) if j in (kernel.jl, kernel.jr) else (False, False)
-    if isinstance(kernel, _IsNullPred):
-        if kernel.j == j:
-            # Definite: TRUE for IS NULL, FALSE for IS NOT NULL.
-            return (True, False) if kernel.negated else (False, True)
-        return False, False
-    if isinstance(kernel, _NotPred):
-        nt, nf = _null_outcomes(kernel.child, j)
-        return nf, nt
-    if isinstance(kernel, _AndPred):
-        lnt, lnf = _null_outcomes(kernel.left, j)
-        rnt, rnf = _null_outcomes(kernel.right, j)
-        return lnt or rnt, lnf and rnf
-    if isinstance(kernel, _OrPred):
-        lnt, lnf = _null_outcomes(kernel.left, j)
-        rnt, rnf = _null_outcomes(kernel.right, j)
-        return lnt and rnt, lnf or rnf
-    return False, False
-
-
-def _to_bool_kernel(kernel: Any) -> Optional[Any]:
-    """The two-valued equivalent of a Kleene kernel, or ``None``.
-
-    The conversion is exact at every row where all of the kernel's
-    ``_kernel_null_refs`` columns are non-NULL (and, for IS [NOT] NULL
-    and definite constants, at every row outright).  A ``_Const`` that is
-    UNKNOWN stays Kleene: two-valuing it would invert wrongly under NOT.
-    """
-    if isinstance(kernel, (_Const, _FixedNonNull)):
-        if kernel.code == TRUE3:
-            return _B2Const(True)
-        if kernel.code == FALSE3:
-            return _B2Const(False)
-        return None
-    if isinstance(kernel, _Truthy):
-        return _B2Truthy(kernel.j)
-    if isinstance(kernel, _IsNullPred):
-        return _B2IsNullPred(kernel.j, kernel.negated)
-    if isinstance(kernel, _CmpColLit):
-        return _B2CmpColLit(kernel.j, kernel.op, kernel.rhs, kernel.domain)
-    if isinstance(kernel, _CmpColCol):
-        return _B2CmpColCol(kernel.jl, kernel.jr, kernel.op, kernel.domain)
-    if isinstance(kernel, _LikePred):
-        return _B2Like(kernel.j, kernel.pattern)
-    if isinstance(kernel, _NotPred):
-        child = _to_bool_kernel(kernel.child)
-        return None if child is None else _B2Not(child)
-    if isinstance(kernel, (_AndPred, _OrPred)):
-        left = _to_bool_kernel(kernel.left)
-        right = _to_bool_kernel(kernel.right)
-        if left is None or right is None:
-            return None
-        cls = _B2And if isinstance(kernel, _AndPred) else _B2Or
-        return cls(left, right)
-    return None
-
-
-def _two_valued_parts(
-    kernels: Sequence[Any], store: ColumnStore, schema: Any
-) -> Tuple[List[Any], int]:
-    """Convert eligible conjunct kernels to two-valued; returns
-    ``(parts, converted_count)``.
-
-    A conjunct converts when every column in its ``_kernel_null_refs``
-    either can never be NULL (``Column.nullable`` is False, or no NULL
-    is present in the current store — the compile cache is keyed on
-    ``data_version``, so the data claim cannot go stale) or has its NULL
-    rows rejected outright by another conjunct that *remains Kleene*.
-    Rejectors are pinned (never themselves converted): two conjuncts
-    must not two-value each other on the strength of mutual rejection —
-    with fill values in place both could go TRUE on a NULL row the
-    Kleene pair would have rejected.  The one exception is ``IS NOT
-    NULL``, whose conversion is exact at NULL rows too and therefore
-    still rejects after converting.
-    """
-    n = len(kernels)
-    refs = [_kernel_null_refs(k) for k in kernels]
-    all_refs: set = set().union(*refs) if refs else set()
-    never_null = {
-        j
-        for j in all_refs
-        if not schema.columns[j].nullable or not bool(store.cols[j].null.any())
-    }
-    parts: List[Any] = list(kernels)
-    pinned: set = set()
-    converted: set = set()
-    for i in range(n):
-        if i in pinned:
-            continue
-        bool_kernel = _to_bool_kernel(kernels[i])
-        if bool_kernel is None:
-            continue
-        unsafe = refs[i] - never_null
-        helpers: set = set()
-        ok = True
-        for j in sorted(unsafe):
-            helper = None
-            needs_pin = False
-            for k in range(n):
-                if k == i:
-                    continue
-                if (
-                    isinstance(kernels[k], _IsNullPred)
-                    and kernels[k].negated
-                    and kernels[k].j == j
-                ):
-                    helper, needs_pin = k, False
-                    break
-                if k in converted:
-                    continue
-                if _null_outcomes(kernels[k], j)[0]:
-                    helper, needs_pin = k, True
-                    break
-            if helper is None:
-                ok = False
-                break
-            if needs_pin:
-                helpers.add(helper)
-        if not ok:
-            continue
-        parts[i] = bool_kernel
-        converted.add(i)
-        pinned |= helpers
-    return parts, len(converted)
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Tuple[Any, Any]:
+        lt, lu = self.left.eval(store, lo, hi)
+        rt, ru = self.right.eval(store, lo, hi)
+        true = lt | rt
+        if lu is None:
+            unknown = None if ru is None else ru & ~lt
+        elif ru is None:
+            unknown = lu & ~rt
+        else:
+            unknown = (lu | ru) & ~true
+        return true, unknown
 
 
 # ---------------------------------------------------------------------------
@@ -821,13 +514,6 @@ def _stmt_exprs(stmt: SelectStatement):
         yield stmt.having
     for order in stmt.order_by:
         yield order.expr
-
-
-def _code3(value: Any) -> int:
-    """The row path's ``_bool3`` as a truth code."""
-    if value is None:
-        return UNKNOWN3
-    return TRUE3 if bool(value) else FALSE3
 
 
 class _WhereCompiler:
@@ -863,7 +549,8 @@ class _WhereCompiler:
 
     def _expr(self, expr: Expr) -> Any:
         if isinstance(expr, Literal):
-            return _Const(_code3(expr.value))
+            value = expr.value
+            return _Const(None if value is None else bool(value))
         if isinstance(expr, ColumnRef):
             return _Truthy(self._value_col(expr))
         if isinstance(expr, UnaryOp):
@@ -887,7 +574,7 @@ class _WhereCompiler:
             if isinstance(expr.operand, Literal):
                 is_null = expr.operand.value is None
                 verdict = (not is_null) if expr.negated else is_null
-                return _Const(TRUE3 if verdict else FALSE3)
+                return _Const(verdict)
             raise _Unsupported("IS NULL over a computed expression")
         if isinstance(expr, Between):
             low = self._cmp_exprs(">=", expr.operand, expr.low)
@@ -914,36 +601,35 @@ class _WhereCompiler:
             return _Const(self._lit_lit(op, left.value, right.value))
         raise _Unsupported("comparison over computed expressions")
 
-    def _lit_lit(self, op: str, lv: Any, rv: Any) -> int:
+    def _lit_lit(self, op: str, lv: Any, rv: Any) -> Optional[bool]:
         # Mirrors Executor._eval_binary / _compare3 for two constants.
         if lv is None or rv is None:
-            return UNKNOWN3
+            return None
         if op == "=":
-            return TRUE3 if values_equal(lv, rv) else FALSE3
+            return values_equal(lv, rv)
         if op == "!=":
-            return TRUE3 if not values_equal(lv, rv) else FALSE3
+            return not values_equal(lv, rv)
         cmp = values_compare(lv, rv)
         if cmp is None:
-            return FALSE3
-        verdict = {
+            return False
+        return {
             "<": cmp < 0,
             "<=": cmp <= 0,
             ">": cmp > 0,
             ">=": cmp >= 0,
         }[op]
-        return TRUE3 if verdict else FALSE3
 
     def _col_lit(self, op: str, ref: ColumnRef, lit: Any) -> Any:
         j = self._value_col(ref)
         col = self.store.cols[j]
         kind = col.kind
         if lit is None:
-            return _Const(UNKNOWN3)
-        mismatch_code = TRUE3 if op == "!=" else FALSE3
+            return _Const(None)
+        mismatch = op == "!="
         if isinstance(lit, bool):
             if kind == "bool":
                 return _CmpColLit(j, op, lit, "bool")
-            return _FixedNonNull((j,), mismatch_code)
+            return _FixedNonNull((j,), mismatch)
         if isinstance(lit, (int, float)):
             if isinstance(lit, float) and math.isnan(lit):
                 raise _Unsupported("NaN literal")
@@ -960,7 +646,7 @@ class _WhereCompiler:
                 except OverflowError:
                     raise _Unsupported("integer literal beyond float range") from None
                 return _CmpColLit(j, op, rhs, "num")
-            return _FixedNonNull((j,), mismatch_code)
+            return _FixedNonNull((j,), mismatch)
         if isinstance(lit, str):
             if kind == "text":
                 if "\x00" in lit:
@@ -970,8 +656,8 @@ class _WhereCompiler:
                 coerced = iso_date_or_none(lit)
                 if coerced is not None:
                     return _CmpColLit(j, op, coerced.toordinal(), "date")
-                return _FixedNonNull((j,), mismatch_code)
-            return _FixedNonNull((j,), mismatch_code)
+                return _FixedNonNull((j,), mismatch)
+            return _FixedNonNull((j,), mismatch)
         if isinstance(lit, datetime.date):
             if kind == "date":
                 return _CmpColLit(j, op, lit.toordinal(), "date")
@@ -979,7 +665,7 @@ class _WhereCompiler:
                 # values_equal would try to parse each string cell as a
                 # date — per-row behaviour the kernels don't model.
                 raise _Unsupported("DATE literal against TEXT column")
-            return _FixedNonNull((j,), mismatch_code)
+            return _FixedNonNull((j,), mismatch)
         raise _Unsupported(f"literal {lit!r} in comparison")
 
     def _col_col(self, op: str, left: ColumnRef, right: ColumnRef) -> Any:
@@ -995,7 +681,7 @@ class _WhereCompiler:
             return _CmpColCol(jl, jr, op, kl)
         if (kl, kr) in (("date", "text"), ("text", "date")):
             raise _Unsupported("DATE/TEXT column comparison needs per-row coercion")
-        return _FixedNonNull((jl, jr), TRUE3 if op == "!=" else FALSE3)
+        return _FixedNonNull((jl, jr), op == "!=")
 
     def _like(self, left: Expr, right: Expr) -> Any:
         if (
@@ -1027,15 +713,25 @@ class _WhereCompiler:
         if node is None:
             # No non-NULL items: never a hit, so the verdict is UNKNOWN
             # for a NULL probe (or when the list held a NULL), else FALSE.
-            node = _FixedNonNull((j,), FALSE3)
+            node = _FixedNonNull((j,), False)
         if saw_null:
-            node = _OrPred(node, _Const(UNKNOWN3))
+            node = _OrPred(node, _Const(None))
         return _NotPred(node) if expr.negated else node
 
 
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
+
+
+def _keep(conjuncts: Sequence[Any], store: ColumnStore, lo: int, hi: int) -> Any:
+    """The WHERE keep-mask: rows on which every top-level conjunct is
+    TRUE (their UNKNOWN rows are dropped like FALSE ones, so the
+    conjuncts' ``unknown`` arrays are not needed here)."""
+    keep = conjuncts[0].eval(store, lo, hi)[0]
+    for kernel in conjuncts[1:]:
+        keep = keep & kernel.eval(store, lo, hi)[0]
+    return keep
 
 
 class _NoopSpan:
@@ -1056,42 +752,43 @@ _NO_FAST = object()  # sentinel: no exact vectorized aggregate, use the list pat
 class _CompiledQuery:
     """One statement's vectorized execution recipe.
 
-    ``group_js`` is ``None`` for a whole-table aggregate (one group) and
-    a list of column positions for GROUP BY keys.  ``fast_items`` /
-    ``fast_order`` hold gather instructions — ``("col", j)``,
-    ``("lit", value)``, ``("star",)``, ``("star_skip",)`` — when every
-    projection and ORDER BY expression is a plain column/literal;
+    ``conjuncts`` holds one mask kernel per top-level WHERE conjunct
+    (empty without a WHERE).  ``group_js`` is ``None`` for a whole-table
+    aggregate (one group) and a list of column positions for GROUP BY
+    keys.  ``fast_items`` / ``fast_order`` hold gather instructions —
+    ``("col", j)``, ``("lit", value)``, ``("star",)``, ``("star_skip",)``
+    — when every projection and ORDER BY expression is a plain
+    column/literal;
     otherwise they are ``None`` and surviving rows are projected through
     the row path's evaluator (identical results, including errors).
     """
 
     __slots__ = (
-        "table", "binding", "pred", "grouped", "group_js", "fast_items",
-        "fast_order", "twoval", "nconj",
+        "table", "binding", "conjuncts", "grouped", "group_js", "fast_items",
+        "fast_order", "twoval",
     )
 
     def __init__(
         self,
         table: Any,
         binding: str,
-        pred: Any,
+        conjuncts: Sequence[Any],
         grouped: bool,
         group_js: Any,
         fast_items: Any,
         fast_order: Any,
-        twoval: int = 0,
-        nconj: int = 0,
+        twoval: int,
     ):
         self.table = table
         self.binding = binding
-        self.pred = pred
+        self.conjuncts = tuple(conjuncts)
         self.grouped = grouped
         self.group_js = group_js
         self.fast_items = fast_items
         self.fast_order = fast_order
-        #: WHERE conjuncts compiled to two-valued kernels / total conjuncts
+        #: conjuncts whose mask can hold no UNKNOWN row: no column they
+        #: read holds a NULL, so they never touch a validity bitmap
         self.twoval = twoval
-        self.nconj = nconj
 
 
 class _GroupCtx:
@@ -1203,13 +900,11 @@ class ColumnarEngine:
         n = store.n_rows
         spans = chunk_spans(n, self.chunk_rows)
         with self._span("columnar-scan"):
-            if compiled.pred is None:
+            if not compiled.conjuncts:
                 idx = np.arange(n, dtype=np.int64)
             else:
-                masks = [compiled.pred.eval(store, lo, hi) for lo, hi in spans]
-                mask = masks[0] if len(masks) == 1 else np.concatenate(masks)
-                keep = mask if mask.dtype == np.bool_ else mask == TRUE3
-                idx = np.flatnonzero(keep)
+                masks = [_keep(compiled.conjuncts, store, lo, hi) for lo, hi in spans]
+                idx = np.flatnonzero(masks[0] if len(masks) == 1 else np.concatenate(masks))
         stats = ex._stats
         stats.full_scans += 1
         stats.rows_scanned += n
@@ -1242,7 +937,7 @@ class ColumnarEngine:
         if isinstance(compiled, str):
             return f"columnar: row path ({compiled})"
         bits = ["scan"]
-        if compiled.pred is not None:
+        if compiled.conjuncts:
             bits.append("filter")
         if compiled.grouped:
             bits.append("group" if compiled.group_js else "aggregate")
@@ -1252,7 +947,9 @@ class ColumnarEngine:
             bits.append("project(row-eval)")
         detail = f"chunk_rows={self.chunk_rows}"
         if compiled.twoval:
-            detail = f"2-valued filter {compiled.twoval}/{compiled.nconj}, {detail}"
+            detail = (
+                f"2-valued filter {compiled.twoval}/{len(compiled.conjuncts)}, {detail}"
+            )
         return f"columnar: vectorized {'+'.join(bits)} ({detail})"
 
     # -- compilation --------------------------------------------------------
@@ -1309,29 +1006,15 @@ class ColumnarEngine:
         # rewritten, effective_where is the original object — so plans
         # built without inference behave exactly as before.
         where = plan.effective_where if plan.static_rewrites else stmt.where
-        pred = None
-        twoval = 0
-        nconj = 0
+        conjuncts: List[Any] = []
         if where is not None:
+            # Per conjunct, in the AND tree's left-to-right order, so the
+            # first unsupported operator (the fallback reason) is the same.
             compiler = _WhereCompiler(store, schema, binding)
-            if getattr(ex, "infer", True):
-                # Compile per conjunct (same left-to-right order as the
-                # AND tree, so fallback reasons are identical), then let
-                # inference pick two-valued kernels where sound.
-                kernels = [compiler.compile(c) for c in split_conjuncts(where)]
-                nconj = len(kernels)
-                parts, twoval = _two_valued_parts(kernels, store, schema)
-                if twoval:
-                    pred = _ConjunctivePred(parts)
-                else:
-                    # Nothing converted: keep the classic Kleene AND
-                    # chain (min-combination is associative, so the
-                    # left-assoc rebuild is mask-identical).
-                    pred = kernels[0]
-                    for kernel in kernels[1:]:
-                        pred = _AndPred(pred, kernel)
-            else:
-                pred = compiler.compile(where)
+            conjuncts = [compiler.compile(c) for c in split_conjuncts(where)]
+        # Whether ``unknown`` is None depends only on the columns' NULL
+        # flags, never on the rows, so an empty span settles it.
+        twoval = sum(1 for k in conjuncts if k.eval(store, 0, 0)[1] is None)
         grouped = bool(stmt.group_by) or ex._projects_aggregate(stmt)
         if grouped and any(
             isinstance(node, CaseExpr)
@@ -1353,8 +1036,8 @@ class ColumnarEngine:
         else:
             fast_items, fast_order = self._fast_projection(stmt, schema, binding)
         return _CompiledQuery(
-            table.name, binding, pred, grouped, group_js, fast_items, fast_order,
-            twoval, nconj,
+            table.name, binding, conjuncts, grouped, group_js, fast_items, fast_order,
+            twoval,
         )
 
     def _local_col(self, ref: ColumnRef, schema: Any, binding: str) -> int:

@@ -45,8 +45,6 @@ different order.
 
 from __future__ import annotations
 
-import functools
-import re
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
@@ -95,7 +93,7 @@ from .functions import AGGREGATE_FUNCTIONS, call_scalar
 from .planner import ExecutionStats, JoinPlan, Planner, QueryPlan, ScanPlan
 from .relation import Relation
 from .schema import TableSchema
-from .types import hash_key, sort_key, values_compare, values_equal
+from .types import hash_key, like_to_regex, sort_key, values_compare, values_equal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .analyzer import AnalysisResult
@@ -219,21 +217,6 @@ class _Members:
         return None if self.has_null else False
 
 
-@functools.lru_cache(maxsize=512)
-def _like_to_regex(pattern: str) -> "re.Pattern[str]":
-    # Memoized: LIKE re-evaluates per row, and benchmark workloads reuse a
-    # small set of patterns across thousands of rows.
-    out = []
-    for ch in pattern:
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-    return re.compile("^" + "".join(out) + "$", re.IGNORECASE)
-
-
 class Executor:
     """Evaluates SELECT statements against one database.
 
@@ -269,9 +252,10 @@ class Executor:
         self.analyze = analyze
         #: let the static inference pass (:mod:`repro.sqldb.inference`)
         #: rewrite plans: constant folding, dropping always-true and
-        #: implied conjuncts, short-circuiting provably-empty WHERE
-        #: clauses, and two-valued columnar kernels.  ``infer=False`` is
-        #: the escape hatch that restores pre-inference plans exactly.
+        #: implied conjuncts, and short-circuiting provably-empty WHERE
+        #: clauses.  ``infer=False`` is the escape hatch that restores
+        #: pre-inference plans exactly; the columnar kernels do not
+        #: depend on it.
         self.infer = infer
         #: route eligible planned statements through the vectorized
         #: columnar kernels (:mod:`repro.sqldb.columnar`); anything the
@@ -1195,7 +1179,7 @@ class Executor:
                 return None
             if not isinstance(left, str) or not isinstance(right, str):
                 raise LikeTypeError("LIKE requires text operands")
-            return bool(_like_to_regex(right).match(left))
+            return bool(like_to_regex(right).match(left))
         if op == "=":
             if left is None or right is None:
                 return None

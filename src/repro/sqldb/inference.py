@@ -17,9 +17,10 @@ Consumers:
   a column's value domain (``SQL503``);
 - the planner folds constants (:func:`fold_constants`), drops
   always-true conjuncts, drops range conjuncts implied by tighter ones
-  (:func:`implied_drops`), and short-circuits provably-empty scans;
-- the columnar engine uses ``nullability == never`` to select
-  two-valued boolean kernels that skip the validity bitmap.
+  (:func:`implied_drops`), and short-circuits provably-empty scans.
+
+The columnar engine does not consume it: its mask kernels skip the
+validity bitmap on their own wherever the data holds no NULL.
 
 Soundness notes:
 
@@ -56,21 +57,22 @@ from .ast import (
     UnaryOp,
 )
 from .schema import Column, TableSchema
-from .types import DataType, format_value, iso_date_or_none, values_compare
+from .types import (
+    BOOL,
+    DATE,
+    FAMILY_BY_DTYPE,
+    NUMBER,
+    TEXT,
+    DataType,
+    families_compatible,
+    format_value,
+    iso_date_or_none,
+    literal_family,
+    values_compare,
+)
 
 #: Nullability lattice points.
 NEVER, MAYBE, ALWAYS = "never", "maybe", "always"
-
-#: Type families, identical strings to the analyzer's coarse families.
-NUMBER, TEXT, DATE, BOOL = "number", "text", "date", "boolean"
-
-_FAMILY_BY_DTYPE = {
-    DataType.INTEGER: NUMBER,
-    DataType.FLOAT: NUMBER,
-    DataType.TEXT: TEXT,
-    DataType.DATE: DATE,
-    DataType.BOOLEAN: BOOL,
-}
 
 _COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
 _MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -86,28 +88,6 @@ class _NoConst:
 
 
 NO_CONST = _NoConst()
-
-
-def _value_family(value: Any) -> Optional[str]:
-    """Type family of a literal's Python value (mirrors the analyzer)."""
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return BOOL
-    if isinstance(value, (int, float)):
-        return NUMBER
-    if isinstance(value, datetime.date):
-        return DATE
-    if isinstance(value, str):
-        return TEXT
-    return None
-
-
-def _compatible(left: Optional[str], right: Optional[str]) -> bool:
-    """Whether two families can ever compare equal/ordered at runtime."""
-    if left is None or right is None or left == right:
-        return True
-    return {left, right} == {TEXT, DATE}
 
 
 def _order(left: Any, right: Any) -> Optional[int]:
@@ -313,7 +293,7 @@ def _literal_fact(value: Any) -> Fact:
     elif isinstance(value, (datetime.date, str)):
         interval = Interval(value, value)
     return Fact(
-        family=_value_family(value), nullability=NEVER, const=value, pure=True, interval=interval
+        family=literal_family(value), nullability=NEVER, const=value, pure=True, interval=interval
     )
 
 
@@ -398,7 +378,7 @@ def fact(expr: Expr, resolver: Resolver) -> Fact:
         if res is None:
             return Fact()
         return Fact(
-            family=_FAMILY_BY_DTYPE.get(res.column.dtype),
+            family=FAMILY_BY_DTYPE.get(res.column.dtype),
             nullability=MAYBE if res.column.nullable else NEVER,
             pure=True,
         )
@@ -610,7 +590,11 @@ def _compare_truth(expr: BinaryOp, resolver: Resolver) -> Truth:
         )
 
     # Incompatible families never compare equal or ordered (SQL301 turf).
-    if lf.family is not None and rf.family is not None and not _compatible(lf.family, rf.family):
+    if (
+        lf.family is not None
+        and rf.family is not None
+        and not families_compatible(lf.family, rf.family)
+    ):
         if op == "!=":
             return Truth(True, False, can_unknown, pure=pure, covered=True,
                          reason="type families never compare equal")
@@ -745,7 +729,10 @@ def _between_truth(expr: Between, resolver: Resolver) -> Truth:
     def oriented(t: Truth) -> Truth:
         return t.negate() if expr.negated else t
 
-    if not (_compatible(of.family, lo.family) and _compatible(of.family, hi.family)):
+    if not (
+        families_compatible(of.family, lo.family)
+        and families_compatible(of.family, hi.family)
+    ):
         # SQL305 turf: mismatched bounds make the range test false.
         return oriented(Truth(False, True, can_unknown, pure=pure, covered=True,
                               reason="BETWEEN bounds type-incompatible"))

@@ -139,7 +139,7 @@ def parse_create_table(sql: str) -> TableSchema:
     round-trips with :meth:`TableSchema.to_ddl` — in particular ``NOT
     NULL`` survives into :attr:`Column.nullable`, which the static
     inference pass (:mod:`repro.sqldb.inference`) uses to prove
-    predicates two-valued.
+    predicates never NULL (``col IS NOT NULL`` always true).
     """
     # ';' is not a lexer operator; the statement terminator is optional.
     text = sql.rstrip().rstrip(";")

@@ -91,7 +91,8 @@ class ExecutionStats:
     static_rewrites: int = 0
     #: queries answered empty without scanning (provably-false WHERE)
     static_short_circuits: int = 0
-    #: columnar conjuncts compiled to two-valued (non-Kleene) kernels
+    #: top-level columnar WHERE conjuncts whose mask has no UNKNOWN rows
+    #: (no column they read holds a NULL)
     twoval_kernels: int = 0
     strategy: str = ""
 

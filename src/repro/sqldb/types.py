@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import datetime
 import enum
+import functools
 import math
+import re
 from typing import Any, Optional
 
 from .errors import TypeMismatchError
@@ -44,6 +46,47 @@ class DataType(enum.Enum):
     def is_numeric(self) -> bool:
         """Whether values of this type participate in arithmetic."""
         return self in (DataType.INTEGER, DataType.FLOAT)
+
+
+#: Type families the static checkers (analyzer and inference) reason
+#: in.  Coarser than :class:`DataType`: INTEGER and FLOAT collapse into
+#: ``number`` because the engine compares and computes across them freely.
+NUMBER, TEXT, DATE, BOOL = "number", "text", "date", "boolean"
+
+FAMILY_BY_DTYPE = {
+    DataType.INTEGER: NUMBER,
+    DataType.FLOAT: NUMBER,
+    DataType.TEXT: TEXT,
+    DataType.DATE: DATE,
+    DataType.BOOLEAN: BOOL,
+}
+
+
+def literal_family(value: Any) -> Optional[str]:
+    """Type family of a literal's Python value; ``None`` for NULL or for
+    values outside the engine's scalar domain (no claims about those —
+    programmatic ASTs may carry arbitrary payloads)."""
+    if value is None:
+        return None
+    if isinstance(value, bool):
+        return BOOL
+    if isinstance(value, (int, float)):
+        return NUMBER
+    if isinstance(value, datetime.date):
+        return DATE
+    if isinstance(value, str):
+        return TEXT
+    return None
+
+
+def families_compatible(left: Optional[str], right: Optional[str]) -> bool:
+    """Whether two families can ever compare equal/ordered at runtime.
+
+    TEXT and DATE are mutually compatible because the engine implicitly
+    parses ISO-date strings compared against DATE values."""
+    if left is None or right is None or left == right:
+        return True
+    return {left, right} == {TEXT, DATE}
 
 
 _DATE_FORMAT = "%Y-%m-%d"
@@ -283,3 +326,23 @@ def format_value(value: Any) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+@functools.lru_cache(maxsize=512)
+def like_to_regex(pattern: str) -> "re.Pattern[str]":
+    """The compiled regex for a ``LIKE`` pattern: ``%`` matches any run,
+    ``_`` one character, and matching is case-insensitive (as in SQLite).
+
+    Memoized: LIKE re-evaluates per row, and workloads reuse a small set
+    of patterns across thousands of rows.  The row path and the columnar
+    kernel share this one definition, so both match identically.
+    """
+    out = []
+    for ch in pattern:
+        if ch == "%":
+            out.append(".*")
+        elif ch == "_":
+            out.append(".")
+        else:
+            out.append(re.escape(ch))
+    return re.compile("^" + "".join(out) + "$", re.IGNORECASE)

@@ -186,10 +186,16 @@ _CMP = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
 @st.composite
 def _atom(draw):
     kind = draw(
-        st.sampled_from(["int", "float", "text", "date", "null", "between", "in", "like"])
+        st.sampled_from(
+            ["int", "id", "float", "text", "date", "null", "between", "in", "like"]
+        )
     )
     if kind == "int":
         return f"a {draw(_CMP)} {draw(st.integers(-60, 60))}"
+    if kind == "id":
+        # NULL-free column: its masks carry no UNKNOWN bitmap, so trees
+        # mix bitmap-free and NULL-carrying masks.
+        return f"id {draw(_CMP)} {draw(st.integers(-10, 310))}"
     if kind == "float":
         return f"f {draw(_CMP)} {draw(st.integers(-6, 6))}.5"
     if kind == "text":
@@ -198,7 +204,7 @@ def _atom(draw):
         day = datetime.date(2023, 1, 1) + datetime.timedelta(days=draw(st.integers(0, 400)))
         return f"d {draw(_CMP)} '{day.isoformat()}'"
     if kind == "null":
-        col = draw(st.sampled_from(["a", "f", "s", "d"]))
+        col = draw(st.sampled_from(["id", "a", "f", "s", "d"]))
         return f"{col} IS {'NOT ' if draw(st.booleans()) else ''}NULL"
     if kind == "between":
         lo, hi = sorted(draw(st.tuples(st.integers(-60, 60), st.integers(-60, 60))))
@@ -215,13 +221,16 @@ def _atom(draw):
 
 @st.composite
 def _where(draw):
-    expr = draw(_atom())
+    # NOT may wrap any subtree: an inner NOT is what exposes a wrong
+    # UNKNOWN mask below it (at the top, UNKNOWN and FALSE both drop).
+    def maybe_not(expr):
+        return f"NOT ({expr})" if draw(st.booleans()) else expr
+
+    expr = maybe_not(draw(_atom()))
     for _ in range(draw(st.integers(0, 2))):
         conj = draw(st.sampled_from(["AND", "OR"]))
-        rhs = draw(_atom())
-        expr = f"({expr}) {conj} ({rhs})"
-    if draw(st.booleans()):
-        expr = f"NOT ({expr})"
+        rhs = maybe_not(draw(_atom()))
+        expr = maybe_not(f"({expr}) {conj} ({rhs})")
     return expr
 
 

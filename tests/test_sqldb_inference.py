@@ -9,8 +9,8 @@ predicate simplification) across all four layers it touches:
    ``effective_where`` contract, provably-empty short-circuits (including
    grouped aggregates over the empty result), and the new
    ``ExecutionStats`` counters.
-4. **Columnar** — two-valued kernel selection and its safety rules
-   (never-null schema columns, IS NOT NULL exact rejectors, pinning).
+4. **Columnar** — which WHERE conjuncts count as two-valued (their
+   masks have no UNKNOWN rows), with inference on and off.
 
 The differential section is the load-bearing guarantee: every corpus the
 columnar engine is tested on must return byte-identical results with
@@ -442,16 +442,23 @@ class TestExecutorShortCircuit:
 
 
 class TestTwoValuedKernels:
+    """``twoval_kernels`` counts the top-level WHERE conjuncts whose mask
+    has no UNKNOWN rows: no column they read holds a NULL (and no NULL
+    literal makes them UNKNOWN), so they never touch a validity bitmap.
+    The count is a property of the kernels and the data, not of
+    ``infer``."""
+
     def test_not_null_column_filter_goes_two_valued(self):
         db = _db(300)
-        ex = Executor(db)
-        ex.execute_sql("SELECT COUNT(*) FROM t WHERE id > 100")
-        assert ex.last_stats.twoval_kernels == 1
-        assert ex.last_stats.vectorized == 1
+        for infer in (True, False):
+            ex = Executor(db, infer=infer)
+            ex.execute_sql("SELECT COUNT(*) FROM t WHERE id > 100")
+            assert ex.last_stats.twoval_kernels == 1
+            assert ex.last_stats.vectorized == 1
 
     def test_nullable_column_with_clean_data_goes_two_valued(self):
-        # "f" is declared nullable but holds no NULLs: the compile-time
-        # data check (keyed on data_version) still allows conversion.
+        # "f" is declared nullable but holds no NULLs, so its mask has
+        # no UNKNOWN rows.
         db = _db(300)
         ex = Executor(db)
         ex.execute_sql("SELECT COUNT(*) FROM t WHERE f > 10")
@@ -465,17 +472,28 @@ class TestTwoValuedKernels:
         assert ex.last_stats.vectorized == 1
 
     def test_is_not_null_rejector_enables_conversion(self):
-        # IS NOT NULL kernels are exact at NULL rows, so the second
-        # conjunct can go two-valued even though "a" holds NULLs.
+        # IS NOT NULL is never UNKNOWN; "a > 3" still is on the rows
+        # where "a" is NULL, whatever the other conjunct does to them.
         db = _db(300)
         ex = Executor(db)
         ex.execute_sql("SELECT COUNT(*) FROM t WHERE a IS NOT NULL AND a > 3")
-        assert ex.last_stats.twoval_kernels == 2
+        assert ex.last_stats.twoval_kernels == 1
 
     def test_mixed_conjuncts_convert_partially(self):
         db = _db(300)
         ex = Executor(db)
         ex.execute_sql("SELECT COUNT(*) FROM t WHERE id > 10 AND a > 3")
+        assert ex.last_stats.twoval_kernels == 1
+
+    def test_null_literal_keeps_unknown(self):
+        # "id" holds no NULLs, but the NULL in the list makes every
+        # non-matching row UNKNOWN.
+        db = _db(300)
+        ex = Executor(db)
+        naive = Executor(db, use_planner=False)
+        sql = "SELECT COUNT(*) FROM t WHERE id NOT IN (1, NULL) AND id > 10"
+        assert _strict_rows(ex.execute_sql(sql)) == _strict_rows(naive.execute_sql(sql))
+        assert ex.last_stats.vectorized == 1
         assert ex.last_stats.twoval_kernels == 1
 
     def test_explain_shows_two_valued_detail(self):
@@ -486,8 +504,8 @@ class TestTwoValuedKernels:
         assert "columnar: vectorized scan+filter+aggregate" in text
 
     def test_data_version_invalidates_conversion(self):
-        # Once a NULL lands in "f", the cached two-valued compile must
-        # not be reused.
+        # Once a NULL lands in "f", the rebuilt store's NULL flag makes
+        # the conjunct three-valued again.
         db = _db(300)
         ex = Executor(db)
         sql = "SELECT COUNT(*) FROM t WHERE f > 10"
@@ -502,14 +520,14 @@ class TestTwoValuedKernels:
         assert int(before.rows[0][0]) <= int(ex.execute_sql(sql).rows[0][0])
 
     def test_mutual_rejection_is_not_exploited(self):
-        # Two copies of the same nullable predicate must not two-value
-        # each other (each would rely on the other's fill values).
+        # Each copy of a nullable predicate is UNKNOWN on the NULL rows;
+        # neither makes the other two-valued.
         db = _db(300)
         ex = Executor(db)
         naive = Executor(db, use_planner=False)
         sql = "SELECT COUNT(*) FROM t WHERE a = 0 AND a = 0"
         assert _strict_rows(ex.execute_sql(sql)) == _strict_rows(naive.execute_sql(sql))
-        assert ex.last_stats.twoval_kernels <= 1
+        assert ex.last_stats.twoval_kernels == 0
 
 
 # ---------------------------------------------------------------------------

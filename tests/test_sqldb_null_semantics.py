@@ -103,6 +103,11 @@ CORPUS = [
     "SELECT id FROM t WHERE b = NULL",
     "SELECT id FROM t WHERE NOT (b IS NULL)",
     "SELECT id FROM t WHERE b IS NULL OR a IS NULL",
+    # -- NULL-free id beside NULL-carrying b: a wrong UNKNOWN shows under NOT
+    "SELECT id FROM t WHERE NOT (id > 2 AND b > 6)",
+    "SELECT id FROM t WHERE NOT (b > 6 AND id > 2)",
+    "SELECT id FROM t WHERE NOT (NOT (id < 3 OR b > 6))",
+    "SELECT id FROM t WHERE NOT (NOT (b > 6 OR id < 3))",
     # -- ordering comparisons over NULL --------------------------------------
     "SELECT id FROM t WHERE b > 5",
     "SELECT id FROM t WHERE NOT (b > 5)",
